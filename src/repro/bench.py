@@ -97,9 +97,9 @@ def bench_event_stream(events: int) -> Dict[str, float]:
 def bench_periodic_timers(events: int, timers: int = 32) -> Dict[str, float]:
     """A bank of self-rearming periodic timers: the generator shape.
 
-    Mirrors the dense periodic tier (netperf ticks, MII monitor, AIC
-    sample timers) the timer wheel is built for: many concurrent
-    timers, each rescheduling itself a fixed period ahead.
+    Mirrors the dense periodic timers (netperf ticks, MII monitor, AIC
+    sample timers) that dominate the testbed's event queue: many
+    concurrent timers, each rescheduling itself a fixed period ahead.
     """
     sim = Simulator()
     fired = [0]

@@ -519,10 +519,6 @@ class Igb82576Port:
             self.datapath.transfer(sum(p.size_bytes for p in packets))
             function.device_receive(packets)
 
-    def wire_receive_one(self, packet: Packet) -> None:
-        """Link-compatible single-packet ingress."""
-        self.wire_receive([packet])
-
     def fluid_wire_receive(self, count: int, wire_bytes: int,
                            at: float) -> None:
         """Apply a collapsed burst's wire-side books as of time ``at``.

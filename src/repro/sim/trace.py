@@ -152,11 +152,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @property
-    def dropped(self) -> int:
-        """Backwards-compatible alias for :attr:`evicted`."""
-        return self.evicted
-
     def __len__(self) -> int:
         return len(self._events)
 

@@ -21,7 +21,6 @@ content-addressed result cache.
 """
 
 from repro.sweep.cache import (
-    DEFAULT_CACHE_DIR,
     ResultCache,
     canonical_json,
     costs_to_dict,
@@ -47,7 +46,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CampaignCheckpoint",
     "CheckpointError",
-    "DEFAULT_CACHE_DIR",
     "FIGURES",
     "Job",
     "Outcome",

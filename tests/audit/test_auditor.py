@@ -115,6 +115,17 @@ class TestSeededViolations:
             bed.auditor.audit()
         assert excinfo.value.check == "event-queue"
 
+    def test_broken_heap_order_is_caught(self, tmp_path):
+        bed = _bed(tmp_path)
+        for delay in (1.0, 2.0, 3.0):
+            bed.sim.schedule(delay, lambda: None)
+        heap = bed.sim._heap
+        heap[0], heap[-1] = heap[-1], heap[0]  # a later event on top
+        with pytest.raises(InvariantViolation) as excinfo:
+            bed.auditor.audit()
+        assert excinfo.value.check == "event-queue"
+        assert "heap property" in str(excinfo.value)
+
     def test_violations_accumulate(self, tmp_path):
         bed = _bed(tmp_path)
         bed.packet_pool.acquired += 1

@@ -57,3 +57,62 @@ def test_cancellation_removes_only_cancelled_events(delays, data):
         handles[index].cancel()
     sim.run()
     assert set(fired) == set(range(len(delays))) - to_cancel
+
+
+# Delays across three magnitudes, quantized so ties are common.
+_delays = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=0.01, allow_nan=False),
+        st.floats(min_value=0.2, max_value=0.3, allow_nan=False),
+        st.floats(min_value=1.0, max_value=5.0, allow_nan=False),
+    ).map(lambda d: round(d, 4)),
+    min_size=1, max_size=120)
+
+
+@given(_delays)
+@settings(max_examples=150)
+def test_exact_global_order_matches_a_stable_sort(delays):
+    """Firing order is exactly (time, seq): a stable sort of the
+    schedule calls by time, ties in scheduling order."""
+    sim = Simulator()
+    fired = []
+    for index, delay in enumerate(delays):
+        sim.schedule(delay, lambda i=index: fired.append(i))
+    sim.run()
+    expected = [i for _, i in sorted((d, i) for i, d in enumerate(delays))]
+    assert fired == expected
+
+
+@given(_delays, st.data())
+@settings(max_examples=100)
+def test_exact_global_order_under_random_cancellation(delays, data):
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(d, lambda i=i: fired.append(i))
+               for i, d in enumerate(delays)]
+    cancelled = data.draw(st.sets(st.integers(0, len(delays) - 1)))
+    for index in cancelled:
+        handles[index].cancel()
+    sim.run()
+    expected = [i for _, i in sorted((d, i) for i, d in enumerate(delays))
+                if i not in cancelled]
+    assert fired == expected
+
+
+@given(_delays)
+@settings(max_examples=100)
+def test_rescheduling_from_callbacks_preserves_order(delays):
+    """Events scheduled while running (the periodic-timer shape) still
+    interleave correctly with everything already queued."""
+    sim = Simulator()
+    fired = []
+
+    def fire_and_rearm(i, d):
+        fired.append(sim.now)
+        if d > 0.001:
+            sim.schedule(d / 2, fire_and_rearm, i, d / 2)
+
+    for index, delay in enumerate(delays):
+        sim.schedule(delay, fire_and_rearm, index, delay)
+    sim.run()
+    assert fired == sorted(fired)

@@ -55,7 +55,7 @@ def test_ring_buffer_drops_oldest():
         tracer.emit("c", f"e{i}")
     assert len(tracer) == 3
     assert [e.name for e in tracer.events()] == ["e2", "e3", "e4"]
-    assert tracer.dropped == 2
+    assert tracer.evicted == 2
     assert tracer.emitted == 5
 
 
@@ -123,7 +123,6 @@ def test_evicted_means_pushed_out_and_invariant_holds():
     for i in range(10):
         tracer.emit("c", f"e{i}")
     assert tracer.evicted == 6
-    assert tracer.dropped == tracer.evicted  # backwards-compat alias
     assert len(tracer) == tracer.emitted - tracer.evicted
 
 
