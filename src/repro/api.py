@@ -395,7 +395,7 @@ def _dispatch(runner: ExperimentRunner, scenario: Scenario) -> RunResult:
     """Route a scenario to the runner method its mode selects.
 
     Split from :func:`run` so callers that need the runner afterwards
-    (the perf-benchmark harness reads ``runner.last_bed``) can supply
+    (the fluid == exact tests read ``runner.last_bed``) can supply
     their own.
     """
     if scenario.mode == "cluster":

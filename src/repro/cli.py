@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 from typing import Dict, List, Optional
 
@@ -277,25 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "determines the scenario list "
                              "(default: %(default)s)")
 
-    bench = commands.add_parser(
-        "bench",
-        help="run the tracked perf benchmarks; emit BENCH_<n>.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller event counts and scenarios "
-                            "(CI perf-smoke scale)")
-    bench.add_argument("--label", default="",
-                       help="free-form label recorded in the document")
-    bench.add_argument("--out", default=None, metavar="FILE",
-                       help="output path (default: the next free "
-                            "BENCH_<n>.json in the current directory)")
-    bench.add_argument("--check", default=None, metavar="BASELINE.json",
-                       help="compare events/sec against a committed "
-                            "baseline; exit 1 on regression beyond "
-                            "--tolerance")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       metavar="FRAC",
-                       help="allowed events/sec regression vs the "
-                            "baseline (default: %(default)s)")
     return parser
 
 
@@ -453,8 +436,6 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         return _run_faults(args)
     if args.command == "report":
         return _run_report(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "cluster":
         return _run_cluster(args)
     result = run(_scenario_for(args), telemetry=_wants_telemetry(args),
@@ -516,7 +497,7 @@ def _run_cluster(args) -> int:
     _print_fluid(result)
     cluster = result.extras["cluster"]
     # The events column counts simulated work, executed plus collapsed
-    # (the bench harness's convention) — so a fluid run's stdout stays
+    # (as perfbench counts it) — so a fluid run's stdout stays
     # byte-identical to exact; the collapse split is the stderr line.
     collapsed_by_host = (getattr(result, "fluid", None)
                          or {}).get("collapsed_by_host") or {}
@@ -660,31 +641,6 @@ def _run_figures(args) -> int:
     print(f"\nwrote {len(names)} artifacts to {args.out_dir}/",
           file=sys.stderr)
     return _finish_campaign(stats, hub)
-
-
-def _run_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.bench import (compare, load_bench, next_bench_path,
-                             run_bench, write_bench)
-
-    doc = run_bench(quick=args.quick, label=args.label, progress=_say)
-    out = Path(args.out) if args.out else next_bench_path(Path.cwd())
-    write_bench(doc, out)
-    print(f"wrote {out}", file=sys.stderr)
-    if args.check is None:
-        return 0
-    baseline = load_bench(Path(args.check))
-    regressions, lines = compare(baseline, doc, tolerance=args.tolerance)
-    print(f"baseline: {args.check} ({baseline.get('label') or 'unlabeled'})")
-    for line in lines:
-        print(f"  {line}")
-    if regressions:
-        for regression in regressions:
-            print(f"REGRESSION: {regression}", file=sys.stderr)
-        return 1
-    print(f"no events/sec regression beyond {args.tolerance:.0%}")
-    return 0
 
 
 def _run_report(args) -> int:
@@ -864,5 +820,22 @@ def _run_sweep(args) -> int:
     return _finish_campaign(stats, hub)
 
 
+def _exit_on_sigterm() -> None:
+    """Turn SIGTERM into ``SystemExit(143)`` so ``finally`` blocks run,
+    above all the campaign pool's teardown that terminates its workers.
+
+    Forked children (pool workers, process-per-host hosts) get the
+    default disposition back at fork: the supervisor's watchdog must
+    still kill a wedged worker outright, not raise inside its task.
+    """
+    def handler(signum, frame):
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, handler)
+    os.register_at_fork(after_in_child=lambda: signal.signal(
+        signal.SIGTERM, signal.SIG_DFL))
+
+
 def main() -> None:  # pragma: no cover - thin entry point
+    _exit_on_sigterm()
     sys.exit(run_cli())

@@ -215,9 +215,8 @@ class ExperimentRunner:
         #: Testbed-construction hook (see ``TestbedConfig.observer``);
         #: observation-only, installed into every testbed built.
         self.observer = observer
-        #: The most recent testbed measured by :meth:`_measure`; the
-        #: perf-benchmark harness reads ``last_bed.sim.events_executed``
-        #: to turn a scenario's wall-clock into events/sec.
+        #: The most recent testbed measured by :meth:`_measure`; tests
+        #: read its simulator's executed and collapsed event counts.
         self.last_bed: Optional[Testbed] = None
 
     def _config(self, **kwargs) -> TestbedConfig:
@@ -241,25 +240,13 @@ class ExperimentRunner:
             auditor.audit(phase="end")
 
     def _policy_callable(
-        self,
-        policy: Optional[Mapping],
-        policy_factory: object = None,
+        self, policy: Optional[Mapping],
     ) -> Optional[Callable[[], CoalescingPolicy]]:
         """Turn a declarative policy spec into a per-guest factory.
 
-        ``policy_factory`` closures were deprecated through the v1 API
-        cycle (they cannot cross the sweep engine's process pool) and
-        are now removed; passing one is a hard error with the
-        migration spelled out.  Returns None when no spec is given so
-        callers keep their per-experiment defaults.
+        Returns None when no spec is given so callers keep their
+        per-experiment defaults.
         """
-        if policy_factory is not None:
-            raise TypeError(
-                "policy_factory= was removed (it was deprecated because "
-                "closures cannot be pickled, cached, or swept): pass a "
-                "declarative policy= spec instead, e.g. "
-                "policy={'kind': 'fixed_itr', 'hz': 2000} or "
-                "policy={'kind': 'aic'} — see docs/api.md")
         if policy is not None:
             return lambda: policy_from_spec(policy, self.costs)
         return None
@@ -274,7 +261,6 @@ class ExperimentRunner:
         kernel: GuestKernel = GuestKernel.LINUX_2_6_28,
         opts: Optional[OptimizationConfig] = None,
         policy: Optional[Mapping] = None,
-        policy_factory: Optional[Callable[[], CoalescingPolicy]] = None,
         protocol: Protocol = Protocol.UDP,
         ports: int = 10,
         vfs_per_port: int = 7,
@@ -284,14 +270,14 @@ class ExperimentRunner:
     ) -> RunResult:
         """netperf RX into ``vm_count`` SR-IOV guests (§6.1's setup)."""
         opts_obj = opts if opts is not None else OptimizationConfig.all()
-        policy_factory = self._policy_callable(policy, policy_factory)
-        if policy_factory is None:
+        make_policy = self._policy_callable(policy)
+        if make_policy is None:
             # The §5.3 optimization switch selects the driver's policy:
             # AIC when on, the VF driver's 2 kHz default otherwise.
             if opts_obj.adaptive_coalescing:
-                policy_factory = lambda: AdaptiveCoalescing(self.costs)
+                make_policy = lambda: AdaptiveCoalescing(self.costs)
             else:
-                policy_factory = lambda: FixedItr(2000)
+                make_policy = lambda: FixedItr(2000)
         sim_mode = self.sim_mode
         if sim_mode == "fluid" and self.faults:
             # Wholesale fallback: fault plans perturb mid-run state at
@@ -308,7 +294,7 @@ class ExperimentRunner:
             opts=opts_obj, native=native, nic=nic, sim_mode=sim_mode,
         )
         bed = Testbed(config)
-        guests = [bed.add_sriov_guest(kind, kernel, policy_factory())
+        guests = [bed.add_sriov_guest(kind, kernel, make_policy())
                   for _ in range(vm_count)]
         line_share = bed.per_vm_line_share_bps(vm_count, protocol)
         for guest in guests:
@@ -327,7 +313,6 @@ class ExperimentRunner:
         vm_count: int,
         kind: DomainKind = DomainKind.HVM,
         policy: Optional[Mapping] = None,
-        policy_factory: Optional[Callable[[], CoalescingPolicy]] = None,
         ports: int = 10,
     ) -> RunResult:
         """Transmit-side experiment (an extension beyond the paper's
@@ -340,8 +325,8 @@ class ExperimentRunner:
         """
         from repro.net.link import Link
         config = self._config(ports=ports, opts=OptimizationConfig.all())
-        policy_factory = (self._policy_callable(policy, policy_factory)
-                          or (lambda: FixedItr(2000)))
+        make_policy = (self._policy_callable(policy)
+                       or (lambda: FixedItr(2000)))
         bed = Testbed(config)
         delivered = {"packets": 0, "payload_bytes": 0}
 
@@ -354,7 +339,7 @@ class ExperimentRunner:
                         name=f"{port.name}.uplink")
             wire.connect(client_sink)
             port.attach_uplink(wire)
-        guests = [bed.add_sriov_guest(kind, policy=policy_factory())
+        guests = [bed.add_sriov_guest(kind, policy=make_policy())
                   for _ in range(vm_count)]
         share = bed.per_vm_line_share_bps(vm_count)
         client_mac = MacAddress(0x02_0000_00C000)
@@ -392,11 +377,9 @@ class ExperimentRunner:
 
     def run_native(self, vm_count: int = 10,
                    policy: Optional[Mapping] = None,
-                   policy_factory: Optional[Callable[[], CoalescingPolicy]] = None,
                    **kwargs) -> RunResult:
         """The bare-metal baseline: VF drivers on the host OS (§6.2)."""
-        return self.run_sriov(vm_count, native=True, policy=policy,
-                              policy_factory=policy_factory, **kwargs)
+        return self.run_sriov(vm_count, native=True, policy=policy, **kwargs)
 
     # ------------------------------------------------------------------
     # PV NIC runs (Figs. 17, 18)
@@ -439,7 +422,6 @@ class ExperimentRunner:
     def run_intervm_sriov(self, message_bytes: int = 1500,
                           offered_bps: float = 5e9,
                           policy: Optional[Mapping] = None,
-                          policy_factory: Optional[Callable[[], CoalescingPolicy]] = None,
                           kind: DomainKind = DomainKind.HVM,
                           sender: str = "guest") -> RunResult:
         """Inter-VM traffic through the NIC's internal switch, capped by
@@ -457,11 +439,11 @@ class ExperimentRunner:
         # Inter-VM rates exceed the line rate, so the driver must scale
         # its interrupt frequency with them — AIC by default (§5.3's
         # Fig. 10 is exactly this scenario).
-        policy_factory = (self._policy_callable(policy, policy_factory)
-                          or (lambda: AdaptiveCoalescing(self.costs)))
+        make_policy = (self._policy_callable(policy)
+                       or (lambda: AdaptiveCoalescing(self.costs)))
         bed = Testbed(config)
         if sender == "guest":
-            tx_guest = bed.add_sriov_guest(kind, policy=policy_factory())
+            tx_guest = bed.add_sriov_guest(kind, policy=make_policy())
             transmit = tx_guest.driver.transmit
             src_mac = tx_guest.vf.mac
             sender_domain = tx_guest.domain
@@ -474,7 +456,7 @@ class ExperimentRunner:
             sender_domain = pf_driver.dom0
             tx_function = bed.ports[0].pf
             tx_driver = pf_driver
-        receiver = bed.add_sriov_guest(kind, policy=policy_factory())
+        receiver = bed.add_sriov_guest(kind, policy=make_policy())
         mtu = min(message_bytes, DEFAULT_MTU)
         stream = NetperfStream(
             bed.sim, transmit, src_mac, receiver.vf.mac,

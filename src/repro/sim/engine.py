@@ -23,7 +23,8 @@ figure campaign, so this is the repro's wall clock):
 * Lazily-cancelled debris is compacted eagerly once it outnumbers the
   live events, so re-armed timers cannot accumulate.
 
-``BENCH_*.json`` (see ``repro bench``) tracks this path's events/sec.
+``perfbench/`` times this path end to end; its ``--trace 1`` split
+reports the engine's own self time and call count.
 """
 
 from __future__ import annotations

@@ -176,8 +176,7 @@ class TestPolicySpecs:
             lambda: runner.run_intervm_sriov(policy_factory=factory),
         ]
         for call in calls:
-            with pytest.raises(TypeError,
-                               match="policy_factory= was removed"):
+            with pytest.raises(TypeError, match="policy_factory"):
                 call()
 
     def test_policy_spec_replaces_the_removed_factory(self):

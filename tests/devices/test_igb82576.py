@@ -121,6 +121,64 @@ class TestReceivePath:
         assert vfs[0].rx_dma_faults == 1
         assert vfs[0].rx_packets == 0
 
+    def test_corruption_exhaustion_and_faults_keep_every_counter(self):
+        """Injected corruption, a dry ring and an unmapped buffer in
+        successive bursts: each counter moves as the per-packet model
+        says, and offered == packets + no_desc + dma_faults + corrupt."""
+        sim, port, vfs, interrupts = build_port()
+        vf = vfs[0]
+        ring = vf.rx_ring
+        iommu = port.iommu
+        ring.reset()
+        for _ in range(3):
+            ring.post(ring.tail * 4096, RX_BUFFER_BYTES)
+
+        def burst(n):
+            return [Packet(src=MAC_REMOTE, dst=vf.mac) for _ in range(n)]
+
+        def counters():
+            assert vf.rx_offered == (vf.rx_packets + vf.rx_no_desc_drops
+                                     + vf.rx_dma_faults
+                                     + vf.rx_corrupt_drops)
+            return (vf.rx_offered, vf.rx_packets, vf.rx_no_desc_drops,
+                    vf.rx_dma_faults, vf.rx_corrupt_drops,
+                    port.rx_corrupted, port.rx_corrupt_budget,
+                    ring.completed, iommu.translations, iommu.faults)
+
+        base_translations = iommu.translations
+        base_faults = iommu.faults
+        size = Packet(src=MAC_REMOTE, dst=vf.mac).size_bytes
+
+        # A budget smaller than the burst, then the ring runs dry: the
+        # corrupted frames consume no descriptor.
+        port.rx_corrupt_budget = 2
+        assert vf.device_receive(burst(7)) == 3
+        assert counters() == (7, 3, 2, 0, 2, 2, 0, 3,
+                              base_translations + 3, base_faults)
+        assert vf.rx_bytes == 3 * size
+        assert [fn for fn, _ in interrupts] == [vf.name]
+
+        # An unmapped buffer at head faults every frame behind it.
+        ring.post(DEFAULT_RING_SIZE * 4096, RX_BUFFER_BYTES)
+        assert vf.device_receive(burst(2)) == 0
+        assert counters() == (9, 3, 2, 2, 2, 2, 0, 3,
+                              base_translations + 3, base_faults + 2)
+
+        # A budget that spans two bursts: the second burst's first
+        # frame is still corrupted, the rest land.
+        ring.reset()
+        for _ in range(4):
+            ring.post(ring.tail * 4096, RX_BUFFER_BYTES)
+        port.rx_corrupt_budget = 4
+        assert vf.device_receive(burst(3)) == 0
+        assert counters() == (12, 3, 2, 2, 5, 5, 1, 3,
+                              base_translations + 3, base_faults + 2)
+        assert vf.device_receive(burst(3)) == 2
+        assert counters() == (15, 5, 2, 2, 6, 6, 0, 5,
+                              base_translations + 5, base_faults + 2)
+        assert vf.rx_bytes == 5 * size
+        assert ring.head == 2
+
 
 class TestInterruptThrottle:
     def test_first_request_fires_immediately(self):

@@ -87,8 +87,8 @@ class TestSteadyStateEquivalence:
         exact, fluid = _assert_equivalent(
             Scenario(mode="sriov", kind="hvm", policy=FIXED_2K,
                      vm_count=2, warmup=0.1, duration=0.1))
-        # The gate the bench regression check applies: exact float
-        # equality of the throughput anchor, not a tolerance.
+        # Exact float equality of the throughput anchor, not a
+        # tolerance.
         assert fluid["throughput_bps"] == exact["throughput_bps"]
         assert fluid["interrupt_hz"] == exact["interrupt_hz"]
         assert fluid["latency_mean"] == exact["latency_mean"]

@@ -156,26 +156,41 @@ def test_sigterm_then_resume_is_byte_identical(tmp_path):
     ck = tmp_path / "ck.json"
     out_a = tmp_path / "out-interrupted"
     cache_a = tmp_path / "cache-a"
-    # DEVNULL, not PIPE: orphaned pool workers inherit the pipe and
-    # would keep it open past the parent's death, wedging a reader.
+    # DEVNULL, not PIPE: a leaked pool worker would inherit the pipe
+    # and keep it open past the parent's death, wedging a reader.  Its
+    # own session makes the campaign's process group checkable.
     process = subprocess.Popen(
         _figures_cmd(out_a, cache_a, ["--checkpoint", str(ck)]),
         cwd=REPO, env=_env(), stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
-    # SIGTERM once the campaign is mid-flight: some tasks done, not all.
-    deadline = time.monotonic() + 120
-    while time.monotonic() < deadline and process.poll() is None:
-        if ck.exists():
-            try:
-                done = len(json.loads(ck.read_text())["completed"])
-            except (ValueError, KeyError):
-                done = 0
-            if done >= 1:
-                break
-        time.sleep(0.05)
-    if process.poll() is None:
-        process.send_signal(signal.SIGTERM)
-    process.wait(timeout=60)
+        stderr=subprocess.DEVNULL, start_new_session=True)
+    pgid = process.pid
+    try:
+        # SIGTERM once the campaign is mid-flight: some tasks done.
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline and process.poll() is None:
+            if ck.exists():
+                try:
+                    done = len(json.loads(ck.read_text())["completed"])
+                except (ValueError, KeyError):
+                    done = 0
+                if done >= 1:
+                    break
+            time.sleep(0.05)
+        if process.poll() is None:
+            process.send_signal(signal.SIGTERM)
+        process.wait(timeout=60)
+        # The pool's workers die with the campaign: nothing of its
+        # process group outlives it.
+        deadline = time.monotonic() + 5
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(pgid, 0)
+                time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
     completed_before = len(json.loads(ck.read_text())["completed"])
     resume = subprocess.run(
